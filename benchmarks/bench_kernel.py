@@ -1,33 +1,35 @@
-"""Columnar kernel vs legacy evaluator: end-to-end matrix builds.
+"""Columnar kernel vs the scalar formulas: end-to-end matrix builds.
 
-The PR 6 tentpole: ``CostMatrix.compute(kernel="columnar")`` prices the
-whole matrix as numpy array operations over all (row, organization)
-pairs, replacing ~0.8M scalar cost-model calls at path length 40 with a
-few hundred vectorized passes. The legacy evaluator stays as the parity
-oracle — the two are bit-identical entry by entry (asserted here on
-every run, and property-pinned in ``tests/test_kernel_parity.py``).
+``CostMatrix.compute`` prices the whole matrix as numpy array operations
+over all (row, organization) pairs, replacing ~0.8M scalar cost-model
+calls at path length 40 with a few hundred vectorized passes. The scalar
+formulas (:func:`repro.costmodel.subpath.subpath_processing_cost`, one
+row and organization at a time) are the paper's reference and the
+kernel's parity oracle — the two are bit-identical entry by entry
+(asserted here on every run, and property-pinned in
+``tests/test_kernel_parity.py``). The scalar side is timed as a direct
+loop over those formulas.
 
-Three timing regimes, because the legacy path leans on memo tables:
+Three timing regimes, because the scalar formulas lean on memo tables:
 
 * **fresh** (the primary metric) — every repeat builds a new
   ``PathStatistics`` world *and* clears the module-level Yao memo
   tables, the first-build cost a caller actually pays on new inputs;
 * **warm** — same statistics object rebuilt with hot caches, the floor
-  for repeated builds inside one process; since PR 9 the columnar side
-  hits the persistent ``StatArrays`` lowering cache and must beat warm
-  legacy by :data:`WARM_MIN_SPEEDUP`;
-* **dirty_slice** (PR 9) — a deterministic edge-drift recompute chain:
-  each step re-prices only its dirty rows, columnar as an array-slice
-  evaluation over the cached (workload-patched) lowering, legacy as the
-  scalar per-row loop.
+  for repeated builds inside one process; the kernel hits the
+  persistent ``StatArrays`` lowering cache and must beat the warm
+  scalar loop by :data:`WARM_MIN_SPEEDUP`;
+* **dirty_slice** — a deterministic edge-drift recompute chain: each
+  step re-prices only its dirty rows, the kernel as an array-slice
+  evaluation over the cached (workload-patched) lowering, the scalar
+  side as a loop over the same rows.
 
 Results land in ``benchmarks/results/BENCH_kernel.json``. The full run
-targets the PR acceptance bar: columnar >= 5x legacy on fresh serial
-builds at length 40. ``--smoke`` runs length 20 and fails when the
-columnar kernel stops beating legacy on fresh builds, the warm rebuild
-drops below the persistent-lowering floor, or the dirty-slice chain
-degrades to the scalar path (or numpy is missing, in which case the
-smoke run degrades to a fallback check and passes).
+targets the acceptance bar: the kernel >= 5x the scalar loop on fresh
+serial builds at length 40. ``--smoke`` runs length 20 and fails when
+the kernel stops beating the scalar loop on fresh builds, the warm
+rebuild drops below the persistent-lowering floor, or the dirty-slice
+chain stops slicing on the kernel.
 
 Usage::
 
@@ -46,31 +48,32 @@ import sys
 import time
 
 from benchmarks.env_meta import environment_metadata
-from repro import kernel
 from repro.core.cost_matrix import CostMatrix
 from repro.costmodel import yao
 from repro.costmodel.params import ClassStats, CostModelConfig, PathStatistics
+from repro.costmodel.subpath import SubpathContext, subpath_processing_cost
+from repro.organizations import EXTENDED_ORGANIZATIONS
 from repro.synth import LevelSpec, linear_path_schema
 from repro.workload.load import LoadDistribution, LoadTriplet
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 JSON_NAME = "BENCH_kernel.json"
 
-#: The PR acceptance bar: columnar >= 5x legacy on fresh serial builds
-#: at length 40 (the full run records it; measured ~8x on a dev box).
+#: The acceptance bar: the kernel >= 5x the scalar loop on fresh serial
+#: builds at length 40 (the full run records it; measured ~8x on a dev box).
 FULL_TARGET_SPEEDUP = 5.0
 
 #: CI guard: generous so machine noise never flakes the build, tight
 #: enough to catch the kernel silently degrading to scalar fallbacks.
 SMOKE_MIN_SPEEDUP = 1.5
 
-#: PR 9 acceptance: warm rebuilds must hit the persistent StatArrays
-#: lowering cache and beat warm legacy builds by at least this factor
+#: Warm rebuilds must hit the persistent StatArrays lowering cache and
+#: beat the warm scalar loop by at least this factor
 #: (guarded in smoke too — a cache regression shows up immediately).
 WARM_MIN_SPEEDUP = 3.0
 
 #: CI guard for the dirty-slice recompute chain: columnar slices over
-#: cached/patched lowerings must beat the legacy per-row loop. Generous
+#: cached/patched lowerings must beat the scalar per-row loop. Generous
 #: (measured ~3x on edge drift) so noise never flakes the build.
 DIRTY_MIN_SPEEDUP = 1.3
 
@@ -111,8 +114,35 @@ def clear_module_caches() -> None:
     yao._npa_pair.cache_clear()
 
 
-def time_builds(length: int, kernel_name: str, fresh: bool) -> dict:
-    """Best/median milliseconds over REPEATS serial builds."""
+def all_rows(length: int) -> list[tuple[int, int]]:
+    """Every subpath ``(start, end)`` of a length-``length`` path."""
+    return [
+        (start, end)
+        for start in range(1, length + 1)
+        for end in range(start, length + 1)
+    ]
+
+
+def scalar_rows(stats, load, rows) -> None:
+    """Price ``rows`` one at a time through the scalar formulas."""
+    for start, end in rows:
+        context = SubpathContext.build(stats, load, start, end)
+        for organization in EXTENDED_ORGANIZATIONS:
+            subpath_processing_cost(
+                stats, load, start, end, organization, context=context
+            )
+
+
+def build_columnar(stats, load) -> None:
+    CostMatrix.compute(stats, load, include_noindex=True, workers=0)
+
+
+def build_scalar(stats, load) -> None:
+    scalar_rows(stats, load, all_rows(stats.length))
+
+
+def time_builds(length: int, build, fresh: bool) -> dict:
+    """Best/median milliseconds over REPEATS serial ``build`` calls."""
     if not fresh:
         warm_inputs = make_inputs(length)
     samples = []
@@ -123,9 +153,7 @@ def time_builds(length: int, kernel_name: str, fresh: bool) -> dict:
         else:
             stats, load = warm_inputs
         started = time.perf_counter()
-        CostMatrix.compute(
-            stats, load, include_noindex=True, workers=0, kernel=kernel_name
-        )
+        build(stats, load)
         samples.append((time.perf_counter() - started) * 1000.0)
     return {
         "best_ms": round(min(samples), 3),
@@ -157,41 +185,55 @@ def drift_loads(stats, base_load, steps: int):
     return loads
 
 
-def time_dirty_slice(length: int, kernel_name: str) -> dict:
-    """One deterministic recompute chain: total milliseconds plus the
-    kernel-slice row counter summed over every step's report."""
+def time_dirty_slice(length: int) -> dict:
+    """One deterministic recompute chain on the kernel, then the same
+    dirty rows priced by the scalar loop: total milliseconds per side
+    plus the kernel-slice row counter summed over every step's report."""
     stats, load = make_inputs(length)
     loads = drift_loads(stats, load, DIRTY_STEPS)
-    matrix = CostMatrix.compute(
-        stats, load, include_noindex=True, workers=0, kernel=kernel_name
-    )
+    matrix = CostMatrix.compute(stats, load, include_noindex=True, workers=0)
     sliced = 0
+    dirty_sets = []
     started = time.perf_counter()
     for step_load in loads:
         matrix = matrix.recompute(load=step_load, workers=0)
         sliced += matrix.recompute_report.kernel_slice_rows
-    elapsed = (time.perf_counter() - started) * 1000.0
+        dirty_sets.append(matrix.recompute_report.recomputed_rows)
+    columnar_ms = (time.perf_counter() - started) * 1000.0
+
+    # The scalar side starts warm too: a full scalar build fills the
+    # statistics' memo tables the way the kernel build fills its cache.
+    stats, load = make_inputs(length)
+    loads = drift_loads(stats, load, DIRTY_STEPS)
+    build_scalar(stats, load)
+    started = time.perf_counter()
+    for step_load, rows in zip(loads, dirty_sets):
+        scalar_rows(stats, step_load, rows)
+    scalar_ms = (time.perf_counter() - started) * 1000.0
     return {
-        "total_ms": round(elapsed, 3),
-        "steps": DIRTY_STEPS,
-        "kernel_slice_rows": sliced,
+        "scalar": {"total_ms": round(scalar_ms, 3), "steps": DIRTY_STEPS},
+        "columnar": {
+            "total_ms": round(columnar_ms, 3),
+            "steps": DIRTY_STEPS,
+            "kernel_slice_rows": sliced,
+        },
+        "speedup": round(scalar_ms / columnar_ms, 2),
     }
 
 
 def assert_parity(length: int) -> None:
-    """Bit-identity of the two kernels on this benchmark's world."""
+    """Bit-identity of the kernel and the scalar formulas on this world."""
     stats, load = make_inputs(length)
-    legacy = CostMatrix.compute(
-        stats, load, include_noindex=True, kernel="legacy"
-    )
-    columnar = CostMatrix.compute(
-        stats, load, include_noindex=True, kernel="columnar"
-    )
-    for start, end in legacy.rows():
-        for organization in legacy.organizations:
-            assert columnar.cost(start, end, organization) == legacy.cost(
-                start, end, organization
-            ), "columnar kernel diverged from the legacy evaluator"
+    columnar = CostMatrix.compute(stats, load, include_noindex=True)
+    for start, end in all_rows(length):
+        context = SubpathContext.build(stats, load, start, end)
+        for organization in columnar.organizations:
+            expected = subpath_processing_cost(
+                stats, load, start, end, organization, context=context
+            ).total
+            assert columnar.cost(start, end, organization) == expected, (
+                "columnar kernel diverged from the scalar formulas"
+            )
 
 
 def run(smoke: bool) -> dict:
@@ -201,49 +243,27 @@ def run(smoke: bool) -> dict:
         "mode": "smoke" if smoke else "full",
         "python": platform.python_version(),
         "environment": environment_metadata(),
-        "numpy_available": kernel.is_available(),
         "length": length,
         "rows": length * (length + 1) // 2,
         "target_speedup": SMOKE_MIN_SPEEDUP if smoke else FULL_TARGET_SPEEDUP,
     }
-    if not kernel.is_available():
-        # Pure-Python environment: record the fallback and the legacy
-        # timing so the artifact stays comparable across CI jobs.
-        report["fresh"] = {"legacy": time_builds(length, "legacy", fresh=True)}
-        report["parity_checked"] = False
-        return report
     assert_parity(length)
     report["parity_checked"] = True
-    report["fresh"] = {
-        "legacy": time_builds(length, "legacy", fresh=True),
-        "columnar": time_builds(length, "columnar", fresh=True),
-    }
-    report["warm"] = {
-        "legacy": time_builds(length, "legacy", fresh=False),
-        "columnar": time_builds(length, "columnar", fresh=False),
-    }
-    for regime in ("fresh", "warm"):
-        timings = report[regime]
+    for regime, fresh in (("fresh", True), ("warm", False)):
+        timings = {
+            "scalar": time_builds(length, build_scalar, fresh=fresh),
+            "columnar": time_builds(length, build_columnar, fresh=fresh),
+        }
         timings["speedup"] = round(
-            timings["legacy"]["best_ms"] / timings["columnar"]["best_ms"], 2
+            timings["scalar"]["best_ms"] / timings["columnar"]["best_ms"], 2
         )
-    dirty = {
-        "legacy": time_dirty_slice(length, "legacy"),
-        "columnar": time_dirty_slice(length, "columnar"),
-    }
-    dirty["speedup"] = round(
-        dirty["legacy"]["total_ms"] / dirty["columnar"]["total_ms"], 2
-    )
-    report["dirty_slice"] = dirty
+        report[regime] = timings
+    report["dirty_slice"] = time_dirty_slice(length)
     return report
 
 
 def check_smoke(report: dict) -> list[str]:
-    """CI guard: the columnar kernel must still beat legacy."""
-    if not report["numpy_available"]:
-        # The no-numpy CI job runs the fallback check in the test suite;
-        # there is no speedup to guard here.
-        return []
+    """CI guard: the columnar kernel must still beat the scalar loop."""
     failures = []
     speedup = report["fresh"]["speedup"]
     if speedup < SMOKE_MIN_SPEEDUP:
@@ -265,8 +285,7 @@ def check_smoke(report: dict) -> list[str]:
         )
     if dirty["columnar"]["kernel_slice_rows"] == 0:
         failures.append(
-            "columnar dirty-slice chain priced zero rows on the kernel "
-            "(fell back to the legacy evaluator)"
+            "columnar dirty-slice chain priced zero rows on the kernel"
         )
     return failures
 

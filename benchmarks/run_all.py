@@ -19,8 +19,8 @@ Four benchmark families, each with its own machine-readable artifact:
   one ``apply_many`` recompute against one recompute per perturbation;
 * **columnar kernel** (``BENCH_kernel.json``, via
   :mod:`benchmarks.bench_kernel`) — the PR 6 win: end-to-end matrix
-  builds through the columnar numpy kernel against the legacy per-row
-  evaluator, fresh-state and warm-cache regimes.
+  builds through the columnar numpy kernel against a scalar loop over
+  the paper's formulas, fresh-state and warm-cache regimes.
 
 Usage::
 

@@ -227,7 +227,11 @@ def _candidate_from_parts(
     matrix: CostMatrix,
     parts: tuple[IndexedSubpath, ...],
 ) -> _Candidate:
-    """Price one configuration into its query/maintenance/storage split."""
+    """Price one configuration into its query/maintenance/storage split.
+
+    The per-candidate reference for :func:`_price_candidates`, which
+    prices every candidate set at runtime.
+    """
     query_cost = 0.0
     maintenance: dict[SharedIndexKey, float] = {}
     storage: dict[SharedIndexKey, float] = {}
@@ -254,11 +258,6 @@ def _candidate_from_parts(
     )
 
 
-#: Candidate batches below this size are priced by the scalar loop —
-#: the batched pricer's array setup costs more than it saves there.
-_BATCH_PRICING_MIN = 16
-
-
 def _price_candidates(
     stats: PathStatistics,
     matrix: CostMatrix,
@@ -272,16 +271,9 @@ def _price_candidates(
     per-candidate query sums run through one
     :func:`repro.kernel.arrays.fold_segments` call whose segmented fold
     replays the scalar ``+=`` accumulation order — so the batched prices
-    are bit-identical to the per-candidate loop, which stays on as the
-    small-set fast path and the no-numpy fallback.
+    are bit-identical to the per-candidate loop, which stays as the
+    reference the tests compare against.
     """
-    from repro import kernel
-
-    if len(parts_list) < _BATCH_PRICING_MIN or not kernel.is_available():
-        return [
-            _candidate_from_parts(stats, matrix, parts)
-            for parts in parts_list
-        ]
     import numpy as np
 
     from repro.kernel.arrays import fold_segments
@@ -807,7 +799,6 @@ def optimize_multipath(
     matrices: list[CostMatrix] | None = None,
     organizations: tuple[IndexOrganization, ...] | None = None,
     workers: int | None = None,
-    kernel: str = "auto",
     beam_width: int | None = None,
     budget_pages: float | None = None,
     restarts: int = DEFAULT_RESTARTS,
@@ -832,18 +823,13 @@ def optimize_multipath(
         Precomputed cost matrices, one per workload in order (e.g. from a
         previous :meth:`CostMatrix.recompute` what-if loop). Each must be
         a computed matrix (with breakdowns) of the workload's path length;
-        when given, ``organizations``, ``workers`` and ``kernel`` are
-        ignored.
+        when given, ``organizations`` and ``workers`` are ignored.
     organizations:
         Candidate organizations for the computed matrices (default: the
         paper's MX/MIX/NIX).
     workers:
         Worker processes per matrix construction (see
         :meth:`CostMatrix.compute`).
-    kernel:
-        Evaluation engine per matrix construction (see
-        :meth:`CostMatrix.compute`); every kernel builds bit-identical
-        matrices.
     beam_width:
         ``None`` (default) enumerates a path's candidates exactly while
         its ``r·(1+r)^(n-1)`` candidate space stays within
@@ -908,7 +894,7 @@ def optimize_multipath(
     degradation:
         An optional :class:`~repro.resilience.DegradationReport`
         collecting structured records of every fallback — the deadline
-        rungs here, plus any serial/kernel fallbacks inside the matrix
+        rungs here, plus any serial fallbacks inside the matrix
         constructions this call triggers.
     recorder:
         An optional :class:`~repro.obs.Recorder` collecting tracing
@@ -924,7 +910,6 @@ def optimize_multipath(
             matrices,
             organizations,
             workers,
-            kernel,
             beam_width,
             budget_pages,
             restarts,
@@ -946,7 +931,6 @@ def _optimize_multipath(
     matrices,
     organizations,
     workers,
-    kernel,
     beam_width,
     budget_pages,
     restarts,
@@ -996,7 +980,6 @@ def _optimize_multipath(
                 w.load,
                 organizations=compute_organizations,
                 workers=workers,
-                kernel=kernel,
                 degradation=degradation,
                 recorder=recorder,
             )

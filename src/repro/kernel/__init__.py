@@ -9,34 +9,17 @@ over all (row, organization) pairs at once:
   probe-key chains, nin-bar chains, occupancy counts, extent pages);
 * :mod:`~repro.kernel.evaluate` applies vectorized CRT/CMT/CRR formulas
   per organization over all subpath rows, folding the per-row sums in
-  exactly the accumulation order of the legacy evaluator so the resulting
+  exactly the accumulation order of the scalar formulas so the resulting
   matrix is **bit-identical** to
   :func:`repro.costmodel.subpath.subpath_processing_cost` row by row;
-* :func:`compute_rows` is the drop-in replacement for the legacy serial
-  row loop that :meth:`repro.core.cost_matrix.CostMatrix.compute`
-  dispatches to when ``kernel="columnar"`` resolves.
+* :func:`compute_rows` prices the rows of every
+  :meth:`repro.core.cost_matrix.CostMatrix.compute` and
+  :meth:`~repro.core.cost_matrix.CostMatrix.recompute`.
 
-numpy is optional for the package as a whole: :func:`is_available`
-reports whether the kernel can run, and callers fall back to the legacy
-evaluator (the parity oracle) when it cannot.
+numpy is a declared dependency of the package (``pyproject.toml``).
 """
 
 from __future__ import annotations
-
-_NUMPY_AVAILABLE: bool | None = None
-
-
-def is_available() -> bool:
-    """Whether the columnar kernel can run (numpy importable)."""
-    global _NUMPY_AVAILABLE
-    if _NUMPY_AVAILABLE is None:
-        try:  # pragma: no cover - trivially platform dependent
-            import numpy  # noqa: F401
-
-            _NUMPY_AVAILABLE = True
-        except ImportError:
-            _NUMPY_AVAILABLE = False
-    return _NUMPY_AVAILABLE
 
 
 def compute_rows(
@@ -44,13 +27,10 @@ def compute_rows(
 ):
     """Price matrix rows with the columnar kernel.
 
-    Same contract as the legacy serial loop in
-    :meth:`repro.core.cost_matrix.CostMatrix._compute_rows`: returns
-    ``{(start, end): {organization: SubpathCost}}`` for exactly the
-    requested rows. ``arrays`` optionally supplies a pre-lowered (or
+    Returns ``{(start, end): {organization: SubpathCost}}`` for exactly
+    the requested rows. ``arrays`` optionally supplies a pre-lowered (or
     workload-patched) :class:`~repro.kernel.arrays.StatArrays` for these
-    inputs. Raises :class:`ImportError` when numpy is missing — callers
-    gate on :func:`is_available`.
+    inputs.
     """
     from repro.kernel.evaluate import evaluate_rows
 
@@ -63,7 +43,7 @@ def lower(stats, load, range_selectivity=None):
     """The lowered :class:`StatArrays` for (stats, load), cache-backed.
 
     Used to lower once in the parent before a fork fan-out and to warm
-    the persistent cache ahead of session loops. Requires numpy.
+    the persistent cache ahead of session loops.
     """
     from repro.kernel.arrays import get_stat_arrays
 
@@ -75,7 +55,7 @@ def cached_lowering(stats, load, range_selectivity=None):
 
     Never lowers: a cheap probe for the dirty-slice recompute path,
     which only pays for a workload patch when a base lowering already
-    exists. Requires numpy.
+    exists.
     """
     from repro.kernel.arrays import find_cached_arrays
 
@@ -89,7 +69,7 @@ def patch_lowering(arrays, load):
     rebuilds only the load-derived columns (see
     :meth:`~repro.kernel.arrays.StatArrays.patched`); the patched
     lowering joins the persistent cache so consecutive what-if steps
-    chain patches instead of re-lowering. Requires numpy.
+    chain patches instead of re-lowering.
     """
     from repro.kernel.arrays import remember_stat_arrays
 
@@ -99,7 +79,6 @@ def patch_lowering(arrays, load):
 
 
 __all__ = [
-    "is_available",
     "compute_rows",
     "lower",
     "cached_lowering",

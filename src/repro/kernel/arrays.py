@@ -4,7 +4,7 @@
 and a :class:`~repro.workload.load.LoadDistribution` into contiguous
 arrays indexed by a **global member axis**: every hierarchy member of
 every position gets one slot ``gm`` (positions ascending, members in
-hierarchy order — the exact iteration order of the legacy evaluator).
+hierarchy order — the exact iteration order of the scalar evaluator).
 On top of it sit the row-independent tables every organization shares:
 probe-key chains, ``nin-bar`` chains, occupancy counts, extent pages and
 the NIX parent-chain recurrences.
@@ -20,7 +20,7 @@ operands — so batched results are bit-identical to scalar calls.
 
 :func:`fold_segments` is the kernel's accumulation workhorse: it folds
 per-segment term lists **sequentially in rank order** (padding with the
-fold identity, which never perturbs float bits), reproducing the legacy
+fold identity, which never perturbs float bits), reproducing the scalar
 evaluator's left-to-right accumulation chains exactly.
 
 Lowerings persist: :func:`get_stat_arrays` keeps a bounded cache of
@@ -308,7 +308,7 @@ class StatArrays:
 
     All quantities are computed through the statistics object's own
     accessors (which memoize when ``config.cache_evaluation`` is on), so
-    the lowered values are the very floats the legacy evaluator reads.
+    the lowered values are the very floats the scalar evaluator reads.
     """
 
     def __init__(
@@ -605,7 +605,7 @@ class StatArrays:
     # shared (subpath-independent) shapes
     # ------------------------------------------------------------------
     def mx_shape(self, position: int, name: str) -> IndexShape:
-        """The MX per-class shape (same key as the legacy shape cache)."""
+        """The MX per-class shape (same key as the scalar shape cache)."""
         sizes = self.sizes
         stats = self.stats
 
@@ -625,7 +625,7 @@ class StatArrays:
         return stats.cached_shape(("mx", position, name), build)
 
     def mix_shape(self, position: int) -> IndexShape:
-        """The MIX per-level shape (same key as the legacy shape cache)."""
+        """The MIX per-level shape (same key as the scalar shape cache)."""
         sizes = self.sizes
         stats = self.stats
 

@@ -290,8 +290,8 @@ def _restore_session_state(
     """Rebuild + prime one session from its checkpoint record.
 
     The fresh matrix is computed from the stored *current* inputs (the
-    bit-identity of ``CostMatrix.compute`` across kernels and worker
-    counts makes it equal to the incrementally recomputed one that died
+    bit-identity of ``CostMatrix.compute`` across worker counts and
+    against ``recompute`` makes it equal to the incrementally recomputed one that died
     with the process), then one priming ``advise()`` fills the search
     tables. The primed answer doubles as verification: when the stored
     last result was exact and nothing was pending, it must match cost

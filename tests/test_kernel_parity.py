@@ -1,38 +1,26 @@
-"""Parity pins for the columnar numpy kernel (PR 6).
+"""Parity pins for the columnar numpy kernel.
 
-The columnar kernel (``repro.kernel``) must be a *bit-identical* drop-in
-for the legacy per-row evaluator — same entry values, same breakdowns,
-same row minima, under every configuration knob the matrix exposes.
-These tests pin that contract with Hypothesis-driven random worlds,
-cover the dirty-row recompute path, the ``npa_array`` primitive against
-its scalar oracle, kernel resolution/validation, and the pure-Python
-fallback when numpy is absent (exercised in a subprocess with a stub
-numpy on the path).
+The columnar kernel (``repro.kernel``) behind :meth:`CostMatrix.compute`
+must be *bit-identical* to the scalar formulas priced row by row
+(:func:`scalar_oracle.scalar_matrix`) — same entry values, same
+breakdowns, same row minima, under every configuration knob the matrix
+exposes. These tests pin that contract with Hypothesis-driven random
+worlds, cover the dirty-row recompute path, and check the ``npa_array``
+primitive against its scalar oracle.
 """
 
-import os
-import subprocess
-import sys
-import textwrap
-
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_oracle import scalar_matrix
 
-from repro.core.cost_matrix import (
-    KERNEL_AUTO_MIN_ROWS,
-    KERNELS,
-    CostMatrix,
-)
+from repro.core.cost_matrix import CostMatrix
 from repro.costmodel.params import ClassStats, CostModelConfig, PathStatistics
-from repro.errors import OptimizerError
+from repro.costmodel.yao import npa
+from repro.kernel.yao_vec import npa_array
 from repro.synth import LevelSpec, linear_path_schema
 from repro.workload.load import LoadDistribution, LoadTriplet
-
-numpy = pytest.importorskip("numpy")
-
-from repro.costmodel.yao import npa  # noqa: E402
-from repro.kernel.yao_vec import npa_array  # noqa: E402
 
 
 def make_world(
@@ -140,55 +128,44 @@ class TestColumnarMatchesLegacy:
     @settings(max_examples=25, deadline=None)
     def test_random_worlds_bit_identical(self, world):
         stats, load = make_world(**world)
-        legacy = CostMatrix.compute(
-            stats, load, include_noindex=True, kernel="legacy"
-        )
-        columnar = CostMatrix.compute(
-            stats, load, include_noindex=True, kernel="columnar"
-        )
-        assert_matrices_identical(legacy, columnar)
+        oracle = scalar_matrix(stats, load, include_noindex=True)
+        columnar = CostMatrix.compute(stats, load, include_noindex=True)
+        assert_matrices_identical(oracle, columnar)
 
     def test_length_40_bit_identical(self):
         """The benchmark's own shape: every org, all 820 rows."""
         stats, load = make_world(length=40, objects=400_000)
-        legacy = CostMatrix.compute(
-            stats, load, include_noindex=True, kernel="legacy"
-        )
-        columnar = CostMatrix.compute(
-            stats, load, include_noindex=True, kernel="columnar"
-        )
-        assert_matrices_identical(legacy, columnar)
+        oracle = scalar_matrix(stats, load, include_noindex=True)
+        columnar = CostMatrix.compute(stats, load, include_noindex=True)
+        assert_matrices_identical(oracle, columnar)
 
     @pytest.mark.parametrize("selectivity", [0.05, 0.5, 1.0])
     def test_range_selectivity_bit_identical(self, selectivity):
         stats, load = make_world(length=6, subclasses=(0, 2, 0, 1, 0, 0))
-        legacy = CostMatrix.compute(
-            stats,
-            load,
-            range_selectivity=selectivity,
-            include_noindex=True,
-            kernel="legacy",
+        oracle = scalar_matrix(
+            stats, load, range_selectivity=selectivity, include_noindex=True
         )
         columnar = CostMatrix.compute(
-            stats,
-            load,
-            range_selectivity=selectivity,
-            include_noindex=True,
-            kernel="columnar",
+            stats, load, range_selectivity=selectivity, include_noindex=True
         )
-        assert_matrices_identical(legacy, columnar)
+        assert_matrices_identical(oracle, columnar)
 
-    def test_auto_matches_explicit_kernels(self):
-        stats, load = make_world()
-        auto = CostMatrix.compute(stats, load)
-        legacy = CostMatrix.compute(stats, load, kernel="legacy")
-        assert_matrices_identical(auto, legacy)
+    @pytest.mark.parametrize("selectivity", [None, 0.4])
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_tiny_matrices_bit_identical(self, length, selectivity):
+        """One to six rows: a default build prices them on the kernel."""
+        stats, load = make_world(length=length, subclasses=(0, 2, 1))
+        oracle = scalar_matrix(stats, load, range_selectivity=selectivity)
+        columnar = CostMatrix.compute(
+            stats, load, range_selectivity=selectivity
+        )
+        assert_matrices_identical(oracle, columnar)
 
     def test_columnar_workers_match_serial(self):
         stats, load = make_world(length=8)
-        serial = CostMatrix.compute(stats, load, workers=0, kernel="columnar")
+        serial = CostMatrix.compute(stats, load, workers=0)
         parallel = CostMatrix.compute(
-            make_world(length=8)[0], load, workers=2, kernel="columnar"
+            make_world(length=8)[0], load, workers=2
         )
         assert_matrices_identical(serial, parallel)
 
@@ -208,32 +185,16 @@ class TestRecomputeParity:
     @settings(max_examples=20, deadline=None)
     def test_perturbation_batches_match_fresh_compute(self, batch):
         stats, load = make_world()
-        for kernel in ("columnar", "legacy", "auto"):
-            matrix = CostMatrix.compute(stats, load, kernel=kernel)
-            new_stats, new_load = stats, load
-            for class_name, component, factor in batch:
-                if component == "stats":
-                    new_stats = perturb_stats(new_stats, class_name, factor)
-                else:
-                    new_load = perturb_load(
-                        new_load, class_name, component, factor
-                    )
-            recomputed = matrix.recompute(stats=new_stats, load=new_load)
-            fresh = CostMatrix.compute(
-                new_stats, new_load, kernel="legacy"
-            )
-            assert_matrices_identical(recomputed, fresh)
-
-    def test_recompute_kernel_override(self):
-        stats, load = make_world()
-        matrix = CostMatrix.compute(stats, load, kernel="legacy")
-        new_load = perturb_load(load, "L2", "query", 3.0)
-        overridden = matrix.recompute(load=new_load, kernel="columnar")
-        assert_matrices_identical(
-            overridden, CostMatrix.compute(stats, new_load)
-        )
-        # The override sticks for the next recompute.
-        assert overridden._kernel == "columnar"
+        matrix = CostMatrix.compute(stats, load)
+        new_stats, new_load = stats, load
+        for class_name, component, factor in batch:
+            if component == "stats":
+                new_stats = perturb_stats(new_stats, class_name, factor)
+            else:
+                new_load = perturb_load(new_load, class_name, component, factor)
+        recomputed = matrix.recompute(stats=new_stats, load=new_load)
+        fresh = scalar_matrix(new_stats, new_load)
+        assert_matrices_identical(recomputed, fresh)
 
 
 class TestNpaArray:
@@ -274,93 +235,3 @@ class TestNpaArray:
             [npa(*case) for case in cases]
         )
         assert (npa_array(t, n, m) == expected).all()
-
-
-class TestKernelResolution:
-    def test_unknown_kernel_rejected(self):
-        stats, load = make_world(length=2, subclasses=(0, 0))
-        with pytest.raises(OptimizerError, match="unknown kernel"):
-            CostMatrix.compute(stats, load, kernel="simd")
-
-    def test_kernel_names_are_closed(self):
-        assert KERNELS == ("auto", "columnar", "legacy")
-
-    def test_auto_resolution_thresholds(self):
-        resolve = CostMatrix._resolve_kernel
-        assert resolve("auto", KERNEL_AUTO_MIN_ROWS) == "columnar"
-        assert resolve("auto", KERNEL_AUTO_MIN_ROWS - 1) == "legacy"
-        assert resolve(None, KERNEL_AUTO_MIN_ROWS) == "columnar"
-        assert resolve("legacy", 10_000) == "legacy"
-        assert resolve("columnar", 1) == "columnar"
-
-    def test_matrix_remembers_requested_kernel(self):
-        stats, load = make_world(length=3, subclasses=(0, 0, 0))
-        assert CostMatrix.compute(stats, load)._kernel == "auto"
-        assert (
-            CostMatrix.compute(stats, load, kernel="legacy")._kernel
-            == "legacy"
-        )
-
-
-NO_NUMPY_PROBE = textwrap.dedent(
-    """
-    from repro import kernel
-    assert kernel.is_available() is False
-
-    from repro.core.cost_matrix import CostMatrix
-    from repro.costmodel.params import ClassStats, PathStatistics
-    from repro.errors import OptimizerError
-    from repro.synth import LevelSpec, linear_path_schema
-    from repro.workload.load import LoadDistribution
-
-    levels = [LevelSpec(f"L{i}", subclasses=0) for i in range(8)]
-    _schema, path = linear_path_schema(levels)
-    per_class = {}
-    objects = 40_000
-    for position in range(1, 9):
-        for member in path.hierarchy_at(position):
-            per_class[member] = ClassStats(
-                objects=objects, distinct=max(10, objects // 6), fanout=1.0
-            )
-        objects = max(50, objects // 5)
-    stats = PathStatistics(path, per_class)
-    load = LoadDistribution.uniform(path, 0.3, 0.1, 0.05)
-
-    # auto falls back to the legacy evaluator and still computes.
-    matrix = CostMatrix.compute(stats, load, kernel="auto")
-    assert matrix.min_cost(1, 8).cost > 0
-
-    # An explicit columnar request fails loudly, not silently.
-    try:
-        CostMatrix.compute(stats, load, kernel="columnar")
-    except OptimizerError as error:
-        assert "numpy" in str(error)
-    else:
-        raise AssertionError("columnar kernel ran without numpy")
-    print("OK")
-    """
-)
-
-
-class TestNoNumpyFallback:
-    def test_auto_falls_back_without_numpy(self, tmp_path):
-        """Run a probe in a subprocess where ``import numpy`` fails."""
-        stub = tmp_path / "numpy.py"
-        stub.write_text(
-            'raise ImportError("numpy disabled for fallback test")\n'
-        )
-        repo_src = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "src",
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), repo_src])
-        completed = subprocess.run(
-            [sys.executable, "-c", NO_NUMPY_PROBE],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert "OK" in completed.stdout

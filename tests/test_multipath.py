@@ -505,9 +505,36 @@ class TestBatchedPricing:
             for c in candidates
         ]
 
+    @staticmethod
+    def _priced_sets(monkeypatch, run):
+        """Every ``(stats, matrix, parts_list, batched)`` pricing in ``run``."""
+        from repro.core import multipath as mp
+
+        calls = []
+        batched_pricer = mp._price_candidates
+
+        def recording(stats, matrix, parts_list):
+            batched = batched_pricer(stats, matrix, parts_list)
+            calls.append((stats, matrix, parts_list, batched))
+            return batched
+
+        monkeypatch.setattr(mp, "_price_candidates", recording)
+        run()
+        assert calls
+        return calls
+
+    def _assert_batched_matches_scalar(self, calls):
+        from repro.core import multipath as mp
+
+        for stats, matrix, parts_list, batched in calls:
+            scalar = [
+                mp._candidate_from_parts(stats, matrix, parts)
+                for parts in parts_list
+            ]
+            assert self._snapshot(batched) == self._snapshot(scalar)
+
     @pytest.mark.parametrize("generator", ["exact", "beam", "budget"])
     def test_batched_matches_scalar_pricing(self, generator, monkeypatch):
-        pytest.importorskip("numpy")
         from repro.core import multipath as mp
 
         workload = synthetic_workload(7)
@@ -521,32 +548,36 @@ class TestBatchedPricing:
             "beam": lambda: mp._candidates_beam(workload, matrix, 2, 16),
             "budget": lambda: mp._candidates_budget(workload, matrix, 16),
         }[generator]
-        batched = self._snapshot(run())
-        monkeypatch.setattr(mp, "_BATCH_PRICING_MIN", 10**9)
-        scalar = self._snapshot(run())
-        assert batched == scalar
+        self._assert_batched_matches_scalar(
+            self._priced_sets(monkeypatch, run)
+        )
 
-    def test_small_sets_and_missing_numpy_use_the_scalar_path(self):
-        """Below the batching threshold the scalar loop prices directly
-        (no numpy import), so candidate generation works without it."""
+    def test_small_sets_are_priced_batched(self, monkeypatch):
+        """A candidate set far below 16 entries goes through the batched
+        pricer too, bit-identical to the per-candidate loop."""
         from repro.core import multipath as mp
 
         workload = synthetic_workload(3)
         matrix = CostMatrix.compute(workload.stats, workload.load)
-        candidates = mp._candidates_beam(workload, matrix, 1, 2)
-        assert 0 < len(candidates) <= 2
-        for candidate in candidates:
-            assert candidate.total == candidate.query_cost + sum(
-                candidate.maintenance.values()
-            )
+        calls = self._priced_sets(
+            monkeypatch, lambda: mp._candidates_beam(workload, matrix, 1, 2)
+        )
+        assert all(0 < len(call[2]) < 16 for call in calls)
+        self._assert_batched_matches_scalar(calls)
 
     def test_joint_selection_unchanged_by_batching(self, monkeypatch):
-        pytest.importorskip("numpy")
         from repro.core import multipath as mp
 
         workloads = [synthetic_workload(6), synthetic_workload(6, scale=2.0)]
         batched = optimize_multipath(workloads)
-        monkeypatch.setattr(mp, "_BATCH_PRICING_MIN", 10**9)
+        monkeypatch.setattr(
+            mp,
+            "_price_candidates",
+            lambda stats, matrix, parts_list: [
+                mp._candidate_from_parts(stats, matrix, parts)
+                for parts in parts_list
+            ],
+        )
         scalar = optimize_multipath(workloads)
         assert batched.configurations == scalar.configurations
         assert batched.total_cost == scalar.total_cost

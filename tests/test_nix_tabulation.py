@@ -9,6 +9,8 @@ tabulation is live (entries appear under its key tag) and bit-identical
 to the uncached evaluation.
 """
 
+from scalar_oracle import scalar_matrix
+
 from repro.core.cost_matrix import CostMatrix
 from repro.costmodel.nix import NIXCostModel
 from repro.costmodel.params import ClassStats, CostModelConfig, PathStatistics
@@ -59,12 +61,10 @@ class TestRetrievalTabulation:
 
     def test_tabulation_entries_are_written(self):
         stats = make_stats(cache_evaluation=True)
-        # The tabulation lives in the legacy evaluator; the columnar
+        # The tabulation lives in the scalar formulas; the columnar
         # kernel batches the same estimates without the memo.
-        CostMatrix.compute(
-            stats,
-            LoadDistribution.uniform(stats.path, 0.3, 0.1, 0.1),
-            kernel="legacy",
+        scalar_matrix(
+            stats, LoadDistribution.uniform(stats.path, 0.3, 0.1, 0.1)
         )
         tags = {
             key[0]
