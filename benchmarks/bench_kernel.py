@@ -24,6 +24,10 @@ Three timing regimes, because the scalar formulas lean on memo tables:
   evaluation over the cached (workload-patched) lowering, the scalar
   side as a loop over the same rows.
 
+The full run also records kernel-only fresh serial builds at lengths
+100 and 200 (``long``), each with the tracemalloc peak of one further
+build beside its time; the scalar loop stays untimed at those lengths.
+
 Results land in ``benchmarks/results/BENCH_kernel.json``. The full run
 targets the acceptance bar: the kernel >= 5x the scalar loop on fresh
 serial builds at length 40. ``--smoke`` runs length 20 and fails when
@@ -46,6 +50,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 
 from benchmarks.env_meta import environment_metadata
 from repro.core.cost_matrix import CostMatrix
@@ -83,6 +88,9 @@ DIRTY_STEPS = 25
 FULL_LENGTH = 40
 SMOKE_LENGTH = 20
 REPEATS = 5
+
+#: Kernel-only fresh serial builds of the full run: length -> repeats.
+LONG_REPEATS = {100: 3, 200: 1}
 
 
 def make_inputs(length: int):
@@ -141,12 +149,12 @@ def build_scalar(stats, load) -> None:
     scalar_rows(stats, load, all_rows(stats.length))
 
 
-def time_builds(length: int, build, fresh: bool) -> dict:
-    """Best/median milliseconds over REPEATS serial ``build`` calls."""
+def time_builds(length: int, build, fresh: bool, repeats: int = REPEATS) -> dict:
+    """Best/median milliseconds over ``repeats`` serial ``build`` calls."""
     if not fresh:
         warm_inputs = make_inputs(length)
     samples = []
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         if fresh:
             stats, load = make_inputs(length)
             clear_module_caches()
@@ -159,6 +167,23 @@ def time_builds(length: int, build, fresh: bool) -> dict:
         "best_ms": round(min(samples), 3),
         "median_ms": round(statistics.median(samples), 3),
     }
+
+
+def time_long_build(length: int, repeats: int) -> dict:
+    """Fresh serial kernel builds at ``length``, plus the tracemalloc
+    peak of one further (traced, untimed) fresh build."""
+    timings = time_builds(length, build_columnar, fresh=True, repeats=repeats)
+    stats, load = make_inputs(length)
+    clear_module_caches()
+    tracemalloc.start()
+    try:
+        build_columnar(stats, load)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    timings["repeats"] = repeats
+    timings["peak_mb"] = round(peak / 2**20, 1)
+    return timings
 
 
 def drift_loads(stats, base_load, steps: int):
@@ -259,6 +284,11 @@ def run(smoke: bool) -> dict:
         )
         report[regime] = timings
     report["dirty_slice"] = time_dirty_slice(length)
+    if not smoke:
+        report["long"] = {
+            str(long_length): time_long_build(long_length, repeats)
+            for long_length, repeats in LONG_REPEATS.items()
+        }
     return report
 
 

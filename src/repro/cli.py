@@ -306,11 +306,6 @@ def _cmd_whatif(arguments: argparse.Namespace) -> int:
                     "kernel_slice_rows": (
                         step.report.kernel_slice_rows if step.report else None
                     ),
-                    "kernel_fallback_reason": (
-                        step.report.kernel_fallback_reason
-                        if step.report
-                        else None
-                    ),
                     "cost": step.cost,
                     "configuration_changed": step.configuration_changed,
                     "configuration": [
@@ -334,16 +329,6 @@ def _cmd_whatif(arguments: argparse.Namespace) -> int:
             f"\n{len(steps) - 1} steps, {changes} configuration changes, "
             f"final cost {steps[-1].cost:.2f}"
         )
-        fallbacks = {
-            step.report.kernel_fallback_reason
-            for step in steps
-            if step.report is not None
-            and step.report.kernel_fallback_reason is not None
-        }
-        if fallbacks:
-            print(
-                "kernel fallbacks: " + ", ".join(sorted(fallbacks))
-            )
     _finish_profile(recorder, arguments)
     return 0
 

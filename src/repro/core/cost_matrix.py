@@ -62,9 +62,6 @@ class RowMinimum:
 #: numerically equivalent reformulations of the cost model.
 TIE_RELATIVE_TOLERANCE = 1e-9
 
-#: Backwards-compatible alias (pre-PR 2 private name).
-_TIE_RELATIVE_TOLERANCE = TIE_RELATIVE_TOLERANCE
-
 #: Shortest path for which ``workers=None`` (auto) parallelizes
 #: construction. Below it process startup (and, under ``spawn``, input
 #: pickling) costs more than the kernel's serial evaluation of the
@@ -146,10 +143,8 @@ class RecomputeReport:
     of inferring it from timings.
 
     ``kernel_slice_rows`` counts the re-priced rows that went through the
-    columnar kernel as an array-slice re-evaluation. Under a range
-    predicate, rows ending at the path's last attribute price through the
-    scalar formulas instead; when every re-priced row is one of those,
-    ``kernel_fallback_reason`` says so — tests assert the kernel path
+    columnar kernel as an array-slice re-evaluation — every re-priced row,
+    range-ending rows included — so tests assert the kernel path
     structurally, never from timings.
     """
 
@@ -159,7 +154,6 @@ class RecomputeReport:
     patched_rows: tuple[tuple[int, int], ...]
     total_rows: int
     kernel_slice_rows: int = 0
-    kernel_fallback_reason: str | None = None
 
     @property
     def incremental(self) -> bool:
@@ -185,8 +179,6 @@ class RecomputeReport:
         """One-line human-readable summary."""
         if self.kernel_slice_rows:
             engine = f" ({self.kernel_slice_rows} kernel-sliced)"
-        elif self.kernel_fallback_reason:
-            engine = f" (scalar: {self.kernel_fallback_reason})"
         else:
             engine = ""
         if self.mode == "full":
@@ -815,39 +807,19 @@ class CostMatrix:
                 arrays=arrays,
                 recorder=recorder,
             )
-        # Mirror the kernel's own routing: with a range predicate, rows
-        # ending at the path's last attribute price through the scalar
-        # formulas (see repro.kernel.evaluate).
-        if self._range_selectivity is None:
-            kernel_slice_rows = len(dirty_rows)
-        else:
-            kernel_slice_rows = sum(
-                1 for _, end in dirty_rows if end != self.length
-            )
-        kernel_fallback = None
-        if dirty_rows and kernel_slice_rows == 0:
-            kernel_fallback = (
-                "all dirty rows end at the path's last attribute under "
-                "a range predicate (scalar oracle)"
-            )
         recorder.counter("matrix.recomputes").add()
         recorder.counter("matrix.recompute.rows_repriced").add(len(dirty_rows))
         recorder.counter("matrix.recompute.rows_patched").add(len(patch_rows))
         recorder.counter("matrix.recompute.kernel_slice_rows").add(
-            kernel_slice_rows
+            len(dirty_rows)
         )
-        if kernel_fallback is not None:
-            recorder.counter(
-                "matrix.kernel_fallback", reason=kernel_fallback
-            ).add()
         report = RecomputeReport(
             mode=mode,
             reason=reason,
             recomputed_rows=tuple(dirty_rows),
             patched_rows=tuple(patch_rows),
             total_rows=self.row_count(),
-            kernel_slice_rows=kernel_slice_rows,
-            kernel_fallback_reason=kernel_fallback,
+            kernel_slice_rows=len(dirty_rows),
         )
         # Fast assembly: clean rows are copied as flat-array slices (and
         # keep their precomputed minima); only the recomputed rows are

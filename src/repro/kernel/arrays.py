@@ -284,6 +284,33 @@ def crr_batch(
     return out
 
 
+def range_scan_batch(
+    table: ShapeTable, select: np.ndarray, selectivity: float, pr=None
+) -> np.ndarray:
+    """Batched ``range_scan_cost(shape, selectivity, pr)``.
+
+    One descent plus a contiguous walk of ``⌈s · leaf pages⌉`` chained
+    leaves; oversized records add their record pages per touched record.
+    """
+    out = np.zeros(select.shape)
+    live = ~table.empty[select]
+    if selectivity == 0.0 or not live.any():
+        return out
+    rows = select[live]
+    touched_records = np.maximum(1.0, selectivity * table.record_count[rows])
+    touched_leaves = np.maximum(
+        1.0, np.ceil(selectivity * table.leaf_pages[rows])
+    )
+    height = table.height[rows].astype(np.float64)
+    oversized = table.oversized[rows]
+    cost = np.where(oversized, height - 1.0, height) + (touched_leaves - 1.0)
+    if oversized.any():
+        pages = _resolve_pages(table, select, pr)[live]
+        cost = np.where(oversized, cost + touched_records * pages, cost)
+    out[live] = cost
+    return out
+
+
 def cml_batch(table: ShapeTable, pm=None) -> np.ndarray:
     """Batched ``CML(shape, pm)`` over all table rows."""
     height = table.height.astype(np.float64)
@@ -390,21 +417,16 @@ class StatArrays:
                 )
         # keys[level][end]: values probed in a level index of a subpath
         # ending at ``end`` (keys[end][end] is the row's probe fan-in).
-        # probe_keys(level, end, x) folds levels end..level+1 descending,
-        # so each column extends the entry above by one (multiply,
-        # clamp) step — the same left fold the scalar loop runs.
-        clamp = self.config.clamp_cardinalities
         self.keys = [[0.0] * (length + 1) for _ in range(length + 1)]
         for end in range(1, length + 1):
-            value = self.probes[end]
-            self.keys[end][end] = value
-            for level in range(end - 1, 0, -1):
-                value = value * self.sum_k[level + 1]
-                if clamp:
-                    cap = self.total_objects[level + 1]
-                    if value > cap:
-                        value = cap
+            for level, value in enumerate(self._key_chain(end, self.probes[end])):
                 self.keys[level][end] = value
+        # range_keys[level]: the same fold for a range predicate's matched
+        # values (probe_keys(level, length, probe_initial)), which feed the
+        # MX/MIX levels below the range-scanned ending index.
+        self.range_keys = None
+        if range_selectivity is not None:
+            self.range_keys = self._key_chain(length, initial)
 
         # -- nin-bar chains and occupancy ------------------------------
         self.mean_fanout = [0.0] * (length + 1)
@@ -452,22 +474,42 @@ class StatArrays:
             )
 
         # -- NIX parent chains (row-independent (position, level) pairs)
-        # parents[p][lev] follows the scalar recurrence of
+        # The parent fan-in at (p, lev) follows the scalar recurrence of
         # NIXCostModel.delete_cost exactly, including the restart-at-1.0
-        # behaviour when a level's fan-in is zero.
-        self.parents = [[0.0] * (length + 1) for _ in range(length + 1)]
-        self.narp = [[0.0] * (length + 1) for _ in range(length + 1)]
+        # behaviour when a level's fan-in is zero. A subpath start only
+        # truncates the walk, so the SA1/SA2 chain totals of a position-p
+        # deletion in a subpath starting at s are running sums over levels
+        # p-1 … s+1 in the scalar loop's order: parents_total[p, s] and
+        # narp_total[p, s] (0.0 for an empty chain, s >= p-1).
+        narp_table = np.zeros((length + 1, length + 1))
+        self.parents_total = np.zeros((length + 1, length + 1))
+        self.narp_total = np.zeros((length + 1, length + 1))
         clamp = self.config.clamp_cardinalities
         for position in range(1, length + 1):
             running = 0.0
+            parents_total = 0.0
+            narp_total = 0.0
             for level in range(position - 1, 0, -1):
                 running = (running if running > 0 else 1.0) * self.sum_k[level]
                 if clamp:
                     running = min(running, self.total_objects[level])
-                self.parents[position][level] = running
-                self.narp[position][level] = stats.occupied_members(
-                    level, running
-                )
+                narp = stats.occupied_members(level, running)
+                narp_table[position, level] = narp
+                parents_total += running
+                narp_total += narp
+                self.parents_total[position, level - 1] = parents_total
+                self.narp_total[position, level - 1] = narp_total
+        # The CU3bc rewrites price CRR at each (p, lev)'s occupied-member
+        # count; those counts take few distinct values (narp_values), so
+        # NIX prices them as a (row × distinct value) grid gathered
+        # through narp_index[p, lev].
+        chained = np.tri(length + 1, k=-1, dtype=bool)
+        chained[:, 0] = False
+        self.narp_values, inverse = np.unique(
+            narp_table[chained], return_inverse=True
+        )
+        self.narp_index = np.zeros((length + 1, length + 1), dtype=np.int64)
+        self.narp_index[chained] = inverse
 
         # -- index key lengths (lazy, see key_size_at) -----------------
         self._key_sizes = [0] * (length + 1)
@@ -581,6 +623,25 @@ class StatArrays:
             )
         clone.following = following
         return clone
+
+    def _key_chain(self, end: int, value: float) -> list[float]:
+        """``probe_keys(level, end, value)`` for every level ``<= end``.
+
+        probe_keys folds levels end..level+1 descending, so each level
+        extends the one above by one (multiply, clamp) step — the same
+        left fold the scalar loop runs.
+        """
+        clamp = self.config.clamp_cardinalities
+        chain = [0.0] * (end + 1)
+        chain[end] = value
+        for level in range(end - 1, 0, -1):
+            value = value * self.sum_k[level + 1]
+            if clamp:
+                cap = self.total_objects[level + 1]
+                if value > cap:
+                    value = cap
+            chain[level] = value
+        return chain
 
     # ------------------------------------------------------------------
     # geometry helpers (mirroring SubpathCostModel)

@@ -13,8 +13,9 @@ Masked terms are padded with ``+0.0`` (all accumulators and terms are
 non-negative, so ``x + 0.0`` leaves the bits unchanged) and per-row
 scalar tails (index heights, storage sums) run through the very scalar
 primitives the scalar evaluator uses. Range-predicate rows ending at the
-path's last attribute fall back to the scalar evaluator — they price a
-leaf-walk that is already row-constant and outside the hot loop.
+path's last attribute differ only in their per-entry query unit (a
+contiguous leaf walk of the ending index instead of equality probes), so
+they ride the same batch.
 """
 
 from __future__ import annotations
@@ -22,11 +23,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.costmodel.primitives import cml, cmt, crt
-from repro.costmodel.subpath import (
-    SubpathContext,
-    SubpathCost,
-    subpath_processing_cost,
-)
+from repro.costmodel.ranges import range_scan_cost
+from repro.costmodel.subpath import SubpathCost
+from repro.errors import CostModelError
 from repro.kernel.arrays import (
     ShapeTable,
     StatArrays,
@@ -36,6 +35,7 @@ from repro.kernel.arrays import (
     crt_batch,
     fold_segments,
     get_stat_arrays,
+    range_scan_batch,
 )
 from repro.kernel.yao_vec import npa_array
 from repro.organizations import IndexOrganization
@@ -60,36 +60,16 @@ def evaluate_rows(
     otherwise the persistent cache on ``stats`` is consulted.
     """
     organizations = list(organizations)
+    if range_selectivity is not None and not 0.0 <= range_selectivity <= 1.0:
+        raise CostModelError(f"selectivity out of [0,1]: {range_selectivity}")
     length = stats.length
-    results: dict = {}
-    kernel_rows = []
-    for start, end in rows:
-        if range_selectivity is not None and end == length:
-            # Range-ending rows price a contiguous leaf walk (a different
-            # query primitive); the scalar evaluator prices them.
-            context = SubpathContext.build(
-                stats, load, start, end, range_selectivity=range_selectivity
-            )
-            results[(start, end)] = {
-                organization: subpath_processing_cost(
-                    stats,
-                    load,
-                    start,
-                    end,
-                    organization,
-                    range_selectivity=range_selectivity,
-                    context=context,
-                )
-                for organization in organizations
-            }
-        else:
-            kernel_rows.append((int(start), int(end)))
-    if not kernel_rows:
-        return results
+    rows = [(int(start), int(end)) for start, end in rows]
+    if not rows:
+        return {}
 
     if arrays is None:
         arrays = get_stat_arrays(stats, load, range_selectivity)
-    rows_key = tuple(kernel_rows)
+    rows_key = tuple(rows)
     batch = None
     # SIX/IIX share MX/MIX's pricing, so each canonical organization is
     # evaluated once and its per-row SubpathCost objects are reused for
@@ -103,7 +83,7 @@ def evaluate_rows(
         cached = arrays.cached_result(canonical, rows_key)
         if cached is None:
             if batch is None:
-                batch = _RowBatch(arrays, kernel_rows)
+                batch = _RowBatch(arrays, rows)
             cached = batch.evaluate(canonical)
             arrays.store_result(canonical, rows_key, cached)
         query, insert, delete, cmd_rate, storage = cached
@@ -113,7 +93,7 @@ def evaluate_rows(
         rates = cmd_rate.tolist()
         storages = storage.tolist()
         built = []
-        for index, (start, end) in enumerate(kernel_rows):
+        for index, (start, end) in enumerate(rows):
             per_deletion = rates[index] if end < length else 0.0
             cmd = 0.0
             if per_deletion:
@@ -137,11 +117,15 @@ def evaluate_rows(
         (organization, costs[_canonical(organization)])
         for organization in organizations
     ]
-    for index, (start, end) in enumerate(kernel_rows):
-        results[(start, end)] = {
-            organization: built[index] for organization, built in columns
-        }
-    return results
+    return {
+        row: {organization: built[index] for organization, built in columns}
+        for index, row in enumerate(rows)
+    }
+
+
+def _range_end(arrays: StatArrays, end: int) -> bool:
+    """Whether rows ending at ``end`` answer a range predicate."""
+    return arrays.range_selectivity is not None and end == arrays.length
 
 
 class _RowBatch:
@@ -227,6 +211,14 @@ class _RowBatch:
             dtype=np.int64,
         )[self.erow]
 
+        # -- range-ending rows: a leaf walk replaces the equality probe
+        if a.range_selectivity is None:
+            self.range_rows = np.zeros(0, dtype=np.int64)
+            self.range_entries = np.zeros(0, dtype=np.int64)
+        else:
+            self.range_rows = np.flatnonzero(self.erow == length)
+            self.range_entries = np.flatnonzero(self.entry_end == length)
+
     # ------------------------------------------------------------------
     # shared machinery
     # ------------------------------------------------------------------
@@ -297,6 +289,16 @@ class _RowBatch:
             column[positions > end] = 0.0
             table[:, end] = column
         return table
+
+    def _scan_range_rows(self, table: ShapeTable, per_row, pr) -> np.ndarray:
+        """``per_row`` query units with each range-ending row's equality
+        probe replaced by a leaf walk of its index (the ending level's
+        single probe makes the scanned fraction the selectivity itself)."""
+        if self.range_rows.size:
+            per_row[self.range_rows] = range_scan_batch(
+                table, self.range_rows, self.arrays.range_selectivity, pr
+            )
+        return per_row
 
     def evaluate(self, organization: IndexOrganization):
         """Price this batch's rows for one canonical organization.
@@ -389,9 +391,15 @@ class _RowBatch:
 
     def _mx_column(self, shapes, end: int):
         """One end's (C column, T column, CMD rate) — the exact scalar
-        loop of the scalar evaluator, level-descending member order."""
+        loop of the scalar evaluator, level-descending member order.
+
+        A range predicate's last end range-scans the ending indexes and
+        probes the levels below with the matched values' key chain.
+        """
         a = self.arrays
         config = a.config
+        scan_end = _range_end(a, end)
+        keys = a.range_keys if scan_end else [row[end] for row in a.keys]
         c_col = np.zeros(a.member_count)
         t_col = np.zeros(a.length + 2)
         accumulator = 0.0
@@ -399,7 +407,12 @@ class _RowBatch:
             base = a.member_offset[level]
             for offset in range(len(a.members[level])):
                 gm = base + offset
-                value = crt(shapes[gm], a.keys[level][end], config.pr_mx)
+                if scan_end and level == end:
+                    value = range_scan_cost(
+                        shapes[gm], a.range_selectivity, config.pr_mx
+                    )
+                else:
+                    value = crt(shapes[gm], keys[level], config.pr_mx)
                 c_col[gm] = value
                 accumulator = accumulator + value
             t_col[level - 1] = accumulator
@@ -478,15 +491,22 @@ class _RowBatch:
         }
 
     def _mix_column(self, shapes, end: int):
-        """One end's (H column, CMD rate), scalar accumulation order."""
+        """One end's (H column, CMD rate), scalar accumulation order
+        (a range predicate's last end as in :meth:`_mx_column`)."""
         a = self.arrays
         config = a.config
+        scan_end = _range_end(a, end)
+        keys = a.range_keys if scan_end else [row[end] for row in a.keys]
         h_col = np.zeros(a.length + 2)
         accumulator = 0.0
         for level in range(end, 0, -1):
-            accumulator = accumulator + crt(
-                shapes[level], a.keys[level][end], config.pr_mix
-            )
+            if scan_end and level == end:
+                value = range_scan_cost(
+                    shapes[level], a.range_selectivity, config.pr_mix
+                )
+            else:
+                value = crt(shapes[level], keys[level], config.pr_mix)
+            accumulator = accumulator + value
             h_col[level] = accumulator
         shape = shapes[end]
         return h_col, cml(shape, float(shape.record_pages))
@@ -538,7 +558,10 @@ class _RowBatch:
             du_np[self.erow], record_lengths, key_sizes, a.sizes
         )
         selector = np.arange(count)
-        crt_rows = crt_batch(table, selector, self.probes_row, config.pr_mx)
+        crt_rows = self._scan_range_rows(
+            table, crt_batch(table, selector, self.probes_row, config.pr_mx),
+            config.pr_mx,
+        )
         scans = self._scan_costs()
         at_start = self.entry_pos == self.entry_start
         unit_q = np.where(
@@ -593,7 +616,10 @@ class _RowBatch:
             du_np[self.erow], record_lengths, key_sizes, a.sizes
         )
         selector = np.arange(count)
-        crt_rows = crt_batch(table, selector, self.probes_row, config.pr_mx)
+        crt_rows = self._scan_range_rows(
+            table, crt_batch(table, selector, self.probes_row, config.pr_mx),
+            config.pr_mx,
+        )
         unit_q = crt_rows[self.entry_row]
         unit_i = cmt_batch(
             table, self.entry_row, self.ninbar_entry, config.pm_mx
@@ -699,6 +725,16 @@ class _RowBatch:
             t_row[self.entry_row] * partial_pr,
             0.0,
         )
+        if self.range_entries.size:
+            # Range-ending rows walk the chained primary leaves; per
+            # touched record only the target class's pages count.
+            scanned = self.range_entries
+            unit_q[scanned] = range_scan_batch(
+                primary,
+                self.entry_row[scanned],
+                a.range_selectivity,
+                partial_pr[scanned],
+            )
 
         # -- insertion: CSI3 + CSI24 -----------------------------------
         primary_insert = cmt_batch(
@@ -735,34 +771,10 @@ class _RowBatch:
         cs3a = cmt_batch(
             primary, self.entry_row, self.ninbar_entry, config.pmd_nix
         )
-        chain_len = np.maximum(self.pair_pos - self.srow[self.pair_row] - 1, 0)
-        chain_total = int(chain_len.sum())
-        cu3bc = np.zeros(pairs)
-        parents_total = np.zeros(pairs)
-        narp_total = np.zeros(pairs)
-        if chain_total:
-            chain_pair = np.repeat(np.arange(pairs), chain_len)
-            chain_offsets = np.concatenate(([0], np.cumsum(chain_len)[:-1]))
-            chain_rank = np.arange(chain_total) - chain_offsets[chain_pair]
-            chain_level = self.pair_pos[chain_pair] - 1 - chain_rank
-            parents_np = np.array(a.parents)
-            narp_np = np.array(a.narp)
-            chain_position = self.pair_pos[chain_pair]
-            parents_chain = parents_np[chain_position, chain_level]
-            narp_chain = narp_np[chain_position, chain_level]
-            rewrites = crr_batch(
-                auxiliary, self.pair_row[chain_pair], narp_chain, config.pm_ax
-            )
-            max_chain = int(chain_len.max())
-            cu3bc = fold_segments(
-                rewrites, chain_pair, chain_rank, pairs, max_chain
-            )
-            parents_total = fold_segments(
-                parents_chain, chain_pair, chain_rank, pairs, max_chain
-            )
-            narp_total = fold_segments(
-                narp_chain, chain_pair, chain_rank, pairs, max_chain
-            )
+        pair_start = self.srow[self.pair_row]
+        cu3bc = self._nix_rewrites(auxiliary, pair_start)
+        parents_total = a.parents_total[self.pair_pos, pair_start]
+        narp_total = a.narp_total[self.pair_pos, pair_start]
         retrieval = np.zeros(pairs)
         pair_leaf_records = auxiliary.leaf_records[self.pair_row]
         pair_leaf_pages = auxiliary.leaf_pages[self.pair_row]
@@ -788,7 +800,7 @@ class _RowBatch:
 
         # -- CMD: whole-record removal plus the delpoint rewrites ------
         cml_primary = cml_batch(primary, primary.record_pages)
-        pair_interior = self.pair_pos > self.srow[self.pair_row]
+        pair_interior = self.pair_pos > pair_start
         touched = np.zeros(count)
         if pair_interior.any():
             subtotal_np = np.array(a.nix_subtotal)
@@ -824,3 +836,48 @@ class _RowBatch:
         )
         storage = np.where(auxiliary.empty, primary_storage, with_aux)
         return unit_q, unit_i, unit_d, cmd_rate, storage
+
+    def _nix_rewrites(self, auxiliary: ShapeTable, pair_start) -> np.ndarray:
+        """CU3bc per (row, position) pair: ``Σ CRR(aux, narp, pm_ax)`` over
+        the chain levels ``position-1 … start+1``, added rank by rank in
+        the scalar loop's level-descending order.
+
+        Pairs are visited by decreasing chain length, so the pairs alive
+        at each rank are a prefix. The CRR terms are gathered from a
+        (row × distinct narp) grid while that grid stays within a few
+        pair-sized arrays (keeping peak memory O(pairs)); worlds with
+        more distinct counts price CRR per chain element instead.
+        """
+        a = self.arrays
+        pm_ax = a.config.pm_ax
+        chain_len = self.pair_pos - pair_start - 1
+        cu3bc = np.zeros(self.pair_count)
+        chained = np.flatnonzero(chain_len > 0)
+        if not chained.size:
+            return cu3bc
+        order = chained[np.argsort(-chain_len[chained], kind="stable")]
+        descending = -chain_len[order]
+        rows = self.pair_row[order]
+        positions = self.pair_pos[order]
+        values = a.narp_values
+        grid = None
+        if self.row_count * values.size <= 4 * self.pair_count:
+            grid = crr_batch(
+                auxiliary,
+                np.repeat(np.arange(self.row_count), values.size),
+                np.tile(values, self.row_count),
+                pm_ax,
+            ).reshape(self.row_count, values.size)
+        total = np.zeros(order.size)
+        for rank in range(int(-descending[0])):
+            live = int(np.searchsorted(descending, -rank))
+            at = positions[:live]
+            column = a.narp_index[at, at - 1 - rank]
+            if grid is not None:
+                total[:live] += grid[rows[:live], column]
+            else:
+                total[:live] += crr_batch(
+                    auxiliary, rows[:live], values[column], pm_ax
+                )
+        cu3bc[order] = total
+        return cu3bc

@@ -129,8 +129,7 @@ def whatif_table(
     One row per :class:`~repro.whatif.WhatIfStep`: the perturbation, how
     much matrix work the step needed (rows re-priced + rows CMD-patched,
     or ``full`` on a fallback rebuild — with ``kN`` marking the ``N``
-    rows the columnar kernel re-priced as one dirty slice and ``!`` a
-    step whose re-priced rows all went to the scalar evaluator), the
+    rows the columnar kernel re-priced as one dirty slice), the
     resulting optimal cost and its delta, and the selected configuration
     — printed only when it changed from the previous step, so
     drifting-workload reports surface the re-indexing points at a
@@ -138,7 +137,6 @@ def whatif_table(
     """
     rows: list[list[object]] = []
     previous_cost: float | None = None
-    fallback_reasons: set[str] = set()
     for step in steps:
         if step.report is None:
             work = "-"
@@ -152,9 +150,6 @@ def whatif_table(
             )
             if step.report.kernel_slice_rows:
                 work += f" k{step.report.kernel_slice_rows}"
-            if step.report.kernel_fallback_reason is not None:
-                work += "!"
-                fallback_reasons.add(step.report.kernel_fallback_reason)
         delta = "" if previous_cost is None else f"{step.cost - previous_cost:+.2f}"
         configuration = (
             step.result.configuration.render(path)
@@ -165,16 +160,11 @@ def whatif_table(
             [step.description, work, f"{step.cost:.2f}", delta, configuration]
         )
         previous_cost = step.cost
-    table = ascii_table(
+    return ascii_table(
         ["step", "dirty rows", "cost", "delta", "configuration"],
         rows,
         title=title,
     )
-    if fallback_reasons:
-        table += "\n! kernel slice fell back to the scalar evaluator: " + (
-            ", ".join(sorted(fallback_reasons))
-        )
-    return table
 
 
 def replay_table(

@@ -9,6 +9,8 @@ worlds, cover the dirty-row recompute path, and check the ``npa_array``
 primitive against its scalar oracle.
 """
 
+import tracemalloc
+
 import numpy
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,9 @@ from scalar_oracle import scalar_matrix
 from repro.core.cost_matrix import CostMatrix
 from repro.costmodel.params import ClassStats, CostModelConfig, PathStatistics
 from repro.costmodel.yao import npa
+from repro.kernel.arrays import StatArrays
 from repro.kernel.yao_vec import npa_array
+from repro.organizations import ALL_ORGANIZATIONS, IndexOrganization
 from repro.synth import LevelSpec, linear_path_schema
 from repro.workload.load import LoadDistribution, LoadTriplet
 
@@ -119,6 +123,20 @@ world_strategy = st.fixed_dictionaries(
         "query": st.floats(min_value=0.0, max_value=2.0),
         "insert": st.floats(min_value=0.0, max_value=1.0),
         "delete": st.floats(min_value=0.0, max_value=1.0),
+        "range_selectivity": st.sampled_from([None, 0.01, 0.05, 0.5, 1.0]),
+        "organizations": st.sampled_from(
+            [
+                ALL_ORGANIZATIONS,
+                (
+                    IndexOrganization.SIX,
+                    IndexOrganization.IIX,
+                    IndexOrganization.NIX,
+                    IndexOrganization.PX,
+                    IndexOrganization.NX,
+                    IndexOrganization.NONE,
+                ),
+            ]
+        ),
     }
 )
 
@@ -127,16 +145,59 @@ class TestColumnarMatchesLegacy:
     @given(world=world_strategy)
     @settings(max_examples=25, deadline=None)
     def test_random_worlds_bit_identical(self, world):
+        world = dict(world)
+        selectivity = world.pop("range_selectivity")
+        organizations = world.pop("organizations")
         stats, load = make_world(**world)
-        oracle = scalar_matrix(stats, load, include_noindex=True)
-        columnar = CostMatrix.compute(stats, load, include_noindex=True)
+        oracle = scalar_matrix(
+            stats, load, organizations, range_selectivity=selectivity
+        )
+        columnar = CostMatrix.compute(
+            stats, load, organizations, range_selectivity=selectivity
+        )
         assert_matrices_identical(oracle, columnar)
 
-    def test_length_40_bit_identical(self):
-        """The benchmark's own shape: every org, all 820 rows."""
+    @pytest.mark.parametrize("selectivity", [None, 0.05])
+    def test_length_40_bit_identical(self, selectivity):
+        """The benchmark's own shape: every org, all 820 rows (NIX
+        deletion chains up to length 38)."""
         stats, load = make_world(length=40, objects=400_000)
-        oracle = scalar_matrix(stats, load, include_noindex=True)
-        columnar = CostMatrix.compute(stats, load, include_noindex=True)
+        oracle = scalar_matrix(
+            stats, load, include_noindex=True, range_selectivity=selectivity
+        )
+        columnar = CostMatrix.compute(
+            stats, load, include_noindex=True, range_selectivity=selectivity
+        )
+        assert_matrices_identical(oracle, columnar)
+
+    @pytest.mark.parametrize("selectivity", [None, 0.05])
+    def test_many_distinct_parent_counts_bit_identical(self, selectivity):
+        """Fan-ins just above one that differ per level give the NIX
+        parent chains many distinct occupied-member counts, so the CU3bc
+        rewrites price CRR per chain element instead of through the
+        (row × distinct count) grid."""
+        length = 12
+        stats, load = make_world(length=length, objects=400_000)
+        per_class = {}
+        for position in range(1, length + 1):
+            for member in stats.members(position):
+                objects = stats.stats_of(member).objects
+                per_class[member] = ClassStats(
+                    objects=objects,
+                    distinct=objects,
+                    fanout=1.0 + 0.01 * position,
+                )
+        stats = PathStatistics(stats.path, per_class, stats.config)
+        rows = length * (length + 1) // 2
+        pairs = length * (length + 1) * (length + 2) // 6
+        distinct = StatArrays(stats, load).narp_values.size
+        assert rows * distinct > 4 * pairs  # past the grid's memory bound
+        oracle = scalar_matrix(
+            stats, load, include_noindex=True, range_selectivity=selectivity
+        )
+        columnar = CostMatrix.compute(
+            stats, load, include_noindex=True, range_selectivity=selectivity
+        )
         assert_matrices_identical(oracle, columnar)
 
     @pytest.mark.parametrize("selectivity", [0.05, 0.5, 1.0])
@@ -168,6 +229,27 @@ class TestColumnarMatchesLegacy:
             make_world(length=8)[0], load, workers=2
         )
         assert_matrices_identical(serial, parallel)
+
+
+class TestKernelMemory:
+    def test_length_80_build_peak_memory(self):
+        """A serial L=80 build keeps its transient arrays O(L³): the NIX
+        deletion chains are folded rank by rank, never materialized as
+        the ~L⁴/24 (row, position, level) entries (that build peaked near
+        380 MB; the folded one stays near 75 MB)."""
+        stats, load = make_world(length=80, objects=400_000)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        baseline, _ = tracemalloc.get_traced_memory()
+        try:
+            CostMatrix.compute(stats, load, include_noindex=True, workers=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak - baseline < 160 * 2**20, f"peak {peak / 2**20:.0f} MB"
 
 
 class TestRecomputeParity:

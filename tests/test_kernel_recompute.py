@@ -10,9 +10,8 @@ contract two ways:
   organization, with the evaluation cache on and off, across
   Hypothesis-driven perturbation batches;
 * **counters** — ``RecomputeReport.kernel_slice_rows`` counts exactly
-  the kernel-priced rows, and ``kernel_fallback_reason`` is set only
-  when every re-priced row is a range-ending row the scalar formulas
-  price.
+  the kernel-priced rows, which is every re-priced row, range-ending
+  rows under a range predicate included.
 """
 
 import pytest
@@ -69,7 +68,6 @@ class TestDirtySliceBitIdentity:
             assert report.kernel_slice_rows == len(report.recomputed_rows)
         else:
             assert report.kernel_slice_rows == 0
-            assert report.kernel_fallback_reason is None
 
     def test_chained_drifts_keep_slicing_through_patched_lowerings(self):
         """Consecutive steps chain workload patches: every step stays on
@@ -99,7 +97,6 @@ class TestKernelSliceCounters:
         report = recomputed.recompute_report
         assert report.kernel_sliced
         assert report.kernel_slice_rows == len(report.recomputed_rows)
-        assert report.kernel_fallback_reason is None
         assert (
             f"({report.kernel_slice_rows} kernel-sliced)"
             in report.describe()
@@ -115,7 +112,6 @@ class TestKernelSliceCounters:
         )
         report = recomputed.recompute_report
         assert report.kernel_sliced
-        assert report.kernel_fallback_reason is None
 
     @pytest.mark.parametrize("length", [1, 2, 3])
     def test_cache_off_tiny_dirty_sets_slice_on_the_kernel(self, length):
@@ -129,33 +125,23 @@ class TestKernelSliceCounters:
         report = recomputed.recompute_report
         assert len(report.recomputed_rows) == length
         assert report.kernel_slice_rows == len(report.recomputed_rows)
-        assert report.kernel_fallback_reason is None
         assert_matrices_identical(recomputed, scalar_matrix(stats, new_load))
 
-    def test_range_ending_rows_report_the_legacy_oracle(self):
-        """Under a range predicate, rows ending at the path's last
-        attribute are priced by the scalar formulas; a dirty set made of
-        only those rows reports the oracle as its fallback."""
+    def test_range_ending_rows_slice_on_the_kernel(self):
+        """Under a range predicate, a dirty set made only of rows ending
+        at the path's last attribute is priced on the kernel like any
+        other slice, bit-identical to the scalar formulas."""
         stats, load = make_world()
         matrix = CostMatrix.compute(stats, load, range_selectivity=0.4)
-        recomputed = matrix.recompute(
-            load=perturb_load(load, "L4", "insert", 2.0)
-        )
+        new_load = perturb_load(load, "L4", "insert", 2.0)
+        recomputed = matrix.recompute(load=new_load)
         report = recomputed.recompute_report
         assert report.recomputed_rows
         assert all(end == stats.length for _s, end in report.recomputed_rows)
-        assert report.kernel_slice_rows == 0
-        assert report.kernel_fallback_reason == (
-            "all dirty rows end at the path's last attribute under a "
-            "range predicate (scalar oracle)"
-        )
+        assert report.kernel_slice_rows == len(report.recomputed_rows)
         assert_matrices_identical(
             recomputed,
-            scalar_matrix(
-                stats,
-                perturb_load(load, "L4", "insert", 2.0),
-                range_selectivity=0.4,
-            ),
+            scalar_matrix(stats, new_load, range_selectivity=0.4),
         )
 
     def test_stats_change_relowers_and_slices(self):
@@ -166,4 +152,3 @@ class TestKernelSliceCounters:
         recomputed = matrix.recompute(stats=perturb_stats(stats, "L2", 1.7))
         report = recomputed.recompute_report
         assert report.kernel_sliced
-        assert report.kernel_fallback_reason is None

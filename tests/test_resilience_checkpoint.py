@@ -10,6 +10,7 @@ canonical serialization) to the run that was never interrupted.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -200,6 +201,38 @@ class TestCheckpointIntegrity:
         assert records[0]["version"] == 1
         assert records[-1]["section"] == "end"
         assert records[-1]["records"] == len(records) - 2
+
+    def test_retired_report_keys_are_ignored(self, tmp_path):
+        """A checkpoint whose step reports still carry the retired
+        ``kernel_fallback_reason`` key restores to the same timeline."""
+        path, stats, load = self._checkpoint(tmp_path)
+        expected = timeline(restore_advisor(path, stats, load))
+        lines = path.read_text().splitlines()
+        records = [json.loads(line) for line in lines[1:-1]]
+        reports = [
+            record["step"]["report"]
+            for record in records
+            if record["section"] == "step"
+            and record["step"]["report"] is not None
+        ]
+        assert reports
+        for report in reports:
+            report["kernel_fallback_reason"] = None
+        reports[0]["kernel_fallback_reason"] = (
+            "all dirty rows end at the path's last attribute under a "
+            "range predicate (scalar oracle)"
+        )
+        body = "\n".join(
+            [lines[0]]
+            + [json.dumps(record, separators=(",", ":")) for record in records]
+        ) + "\n"
+        trailer = {
+            "section": "end",
+            "records": len(records),
+            "digest": hashlib.sha256(body.encode("utf-8")).hexdigest(),
+        }
+        path.write_text(body + json.dumps(trailer) + "\n")
+        assert timeline(restore_advisor(path, stats, load)) == expected
 
 
 # ----------------------------------------------------------------------
